@@ -90,7 +90,7 @@ struct SegmentCursor {
   }
 
   Dec dec;
-  RunSegment seg;
+  RunSegment seg{};
   uint64_t remaining = 0;
   bool active = false;
 };

@@ -11,9 +11,6 @@
 namespace intcomp {
 namespace {
 
-// Observability hooks below are inserted at the same points of Evaluate and
-// EvaluateChecked: they never branch on results, so the checked mirror stays
-// algorithmically line-for-line identical to the trusted path.
 inline void CountDecodedSet(const CompressedSet& set) {
   obs::ThreadOpCounters().bytes_decoded += set.SizeInBytes();
 }
@@ -31,125 +28,59 @@ inline void ExplainInlineLeaf(const Codec& codec, uint32_t leaf,
   }
 }
 
-// Writes the plan's result into *out (cleared first). Temporaries are
-// leased from `arena`; `out` itself is caller storage so results can
-// outlive the evaluation.
-void Evaluate(const Codec& codec, const QueryPlan& plan,
-              std::span<const CompressedSet* const> sets, ScratchArena& arena,
-              std::vector<uint32_t>* out) {
-  out->clear();
-  switch (plan.op) {
-    case QueryPlan::Op::kLeaf: {
-      TRACE_SPAN("decode");
-      obs::ExplainScope scope("plan.leaf");
-      if (scope.active()) {
-        scope.AddUint("leaf", plan.leaf);
-        scope.AddUint("card", sets[plan.leaf]->Cardinality());
-        scope.AddStr("codec", codec.SetCodecName(*sets[plan.leaf]));
-      }
-      ++obs::ThreadOpCounters().lists_touched;
-      CountDecodedSet(*sets[plan.leaf]);
-      codec.Decode(*sets[plan.leaf], out);
-      return;
+Status CollectLeaves(const QueryPlan& plan, size_t num_inputs,
+                     std::vector<size_t>* leaves) {
+  if (plan.op == QueryPlan::Op::kLeaf) {
+    if (plan.leaf >= num_inputs) {
+      return Status::InvalidArgument("plan leaf index out of range");
     }
-    case QueryPlan::Op::kAnd: {
-      obs::ExplainScope scope("plan.and");
-      scope.AddUint("children", plan.children.size());
-      // Materialize non-leaf children; keep leaves compressed for SvS.
-      std::vector<const CompressedSet*> leaves;
-      std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Evaluate(codec, child, sets, arena, sub.get());
-          materialized.push_back(std::move(sub));
-        }
-      }
-      std::sort(leaves.begin(), leaves.end(),
-                [](const CompressedSet* a, const CompressedSet* b) {
-                  return a->Cardinality() < b->Cardinality();
-                });
-      std::sort(materialized.begin(), materialized.end(),
-                [](const auto& a, const auto& b) { return a->size() < b->size(); });
-      obs::ThreadOpCounters().lists_touched += leaves.size();
-
-      ScratchArena::Lease next = arena.Acquire();
-      size_t li = 0;
-      if (!materialized.empty()) {
-        out->swap(*materialized[0]);
-        // Merge-intersect the other materialized results.
-        for (size_t i = 1; i < materialized.size(); ++i) {
-          IntersectLists(*out, *materialized[i], next.get());
-          out->swap(*next);
-        }
-      } else if (leaves.size() == 1) {
-        CountDecodedSet(*leaves[0]);
-        codec.Decode(*leaves[0], out);
-        li = 1;
-      } else {
-        codec.Intersect(*leaves[0], *leaves[1], out);
-        li = 2;
-      }
-      TRACE_SPAN("svs_probe");
-      for (; li < leaves.size() && !out->empty(); ++li) {
-        // Probe the smaller side: when the running result is much larger
-        // than the leaf (e.g. a wide union ANDed with a selective
-        // predicate), decode the leaf and gallop it into the result instead
-        // of pushing every result element through the leaf's skip index.
-        if (leaves[li]->Cardinality() * 8 < out->size()) {
-          ScratchArena::Lease decoded = arena.Acquire();
-          CountDecodedSet(*leaves[li]);
-          codec.Decode(*leaves[li], decoded.get());
-          GallopIntersect(*decoded, *out, next.get());
-        } else {
-          codec.IntersectWithList(*leaves[li], *out, next.get());
-        }
-        out->swap(*next);
-      }
-      scope.AddUint("rows", out->size());
-      return;
-    }
-    case QueryPlan::Op::kOr:
-    default: {
-      obs::ExplainScope scope("plan.or");
-      scope.AddUint("children", plan.children.size());
-      std::vector<const CompressedSet*> leaves;
-      std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Evaluate(codec, child, sets, arena, sub.get());
-          materialized.push_back(std::move(sub));
-        }
-      }
-      if (!leaves.empty()) {
-        UnionSets(codec, leaves, &arena, out);
-      }
-      ScratchArena::Lease merged = arena.Acquire();
-      for (const auto& m : materialized) {
-        UnionLists(*out, *m, merged.get());
-        out->swap(*merged);
-      }
-      scope.AddUint("rows", out->size());
-      return;
-    }
+    leaves->push_back(plan.leaf);
+    return Status::Ok();
   }
+  if (plan.children.empty()) {
+    return Status::InvalidArgument("AND/OR node with no children");
+  }
+  for (const QueryPlan& child : plan.children) {
+    Status st = CollectLeaves(child, num_inputs, leaves);
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
 }
 
-// Status-returning mirror of Evaluate. The per-node algorithm (child
-// ordering, SvS vs. gallop choices) is kept line-for-line identical so that
-// a successful checked evaluation is bit-identical to the trusted path; the
-// only additions are the token poll and leaf/shape validation at node entry.
-Status EvaluateChecked(const Codec& codec, const QueryPlan& plan,
-                       std::span<const CompressedSet* const> sets,
-                       const CancellationToken* token, ScratchArena& arena,
-                       std::vector<uint32_t>* out) {
+Status Evaluate(const Codec& codec, const QueryPlan& plan,
+                std::span<const CompressedSet* const> sets,
+                const CancellationToken* token, ScratchArena& arena,
+                std::vector<uint32_t>* out);
+
+// Splits an AND/OR node's children: leaves stay compressed (in plan order),
+// operator children are evaluated into arena leases.
+Status EvaluateChildren(const Codec& codec, const QueryPlan& plan,
+                        std::span<const CompressedSet* const> sets,
+                        const CancellationToken* token, ScratchArena& arena,
+                        std::vector<const CompressedSet*>* leaves,
+                        std::vector<ScratchArena::Lease>* materialized) {
+  for (const QueryPlan& child : plan.children) {
+    if (child.op == QueryPlan::Op::kLeaf) {
+      ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
+      leaves->push_back(sets[child.leaf]);
+    } else {
+      ScratchArena::Lease sub = arena.Acquire();
+      Status st = Evaluate(codec, child, sets, token, arena, sub.get());
+      if (!st.ok()) return st;
+      materialized->push_back(std::move(sub));
+    }
+  }
+  return Status::Ok();
+}
+
+// Writes the plan's result into *out (cleared first). Temporaries are
+// leased from `arena`; `out` itself is caller storage so results can
+// outlive the evaluation. The plan must already be valid for `sets`;
+// `token` (nullable) is polled at every node entry and SvS probe step.
+Status Evaluate(const Codec& codec, const QueryPlan& plan,
+                std::span<const CompressedSet* const> sets,
+                const CancellationToken* token, ScratchArena& arena,
+                std::vector<uint32_t>* out) {
   if (token != nullptr) {
     Status st = token->Check();
     if (!st.ok()) return st;
@@ -157,10 +88,6 @@ Status EvaluateChecked(const Codec& codec, const QueryPlan& plan,
   out->clear();
   switch (plan.op) {
     case QueryPlan::Op::kLeaf: {
-      if (plan.leaf >= sets.size())
-        return Status::InvalidArgument("plan leaf index out of range");
-      if (sets[plan.leaf] == nullptr)
-        return Status::InvalidArgument("plan references missing input set");
       TRACE_SPAN("decode");
       obs::ExplainScope scope("plan.leaf");
       if (scope.active()) {
@@ -174,95 +101,54 @@ Status EvaluateChecked(const Codec& codec, const QueryPlan& plan,
       return Status::Ok();
     }
     case QueryPlan::Op::kAnd: {
-      if (plan.children.empty())
-        return Status::InvalidArgument("AND node with no children");
       obs::ExplainScope scope("plan.and");
       scope.AddUint("children", plan.children.size());
-      std::vector<const CompressedSet*> leaves;
+      // Materialize non-leaf children; keep leaves compressed for SvS.
+      std::vector<const CompressedSet*> leaf_sets;
       std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          if (child.leaf >= sets.size())
-            return Status::InvalidArgument("plan leaf index out of range");
-          if (sets[child.leaf] == nullptr)
-            return Status::InvalidArgument("plan references missing input set");
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Status st =
-              EvaluateChecked(codec, child, sets, token, arena, sub.get());
-          if (!st.ok()) return st;
-          materialized.push_back(std::move(sub));
-        }
-      }
-      std::sort(leaves.begin(), leaves.end(),
-                [](const CompressedSet* a, const CompressedSet* b) {
-                  return a->Cardinality() < b->Cardinality();
-                });
+      Status st = EvaluateChildren(codec, plan, sets, token, arena,
+                                   &leaf_sets, &materialized);
+      if (!st.ok()) return st;
+      std::vector<TaggedSet> leaves;
+      leaves.reserve(leaf_sets.size());
+      for (const CompressedSet* s : leaf_sets) leaves.push_back({&codec, s});
+      SortByCardinality(leaves);
       std::sort(materialized.begin(), materialized.end(),
                 [](const auto& a, const auto& b) { return a->size() < b->size(); });
       obs::ThreadOpCounters().lists_touched += leaves.size();
 
-      ScratchArena::Lease next = arena.Acquire();
-      size_t li = 0;
+      // SvS seed: the merged materialized results, else the smallest one or
+      // two leaves; the remaining leaves are probed into it.
+      size_t seeded = 0;
       if (!materialized.empty()) {
         out->swap(*materialized[0]);
+        ScratchArena::Lease next = arena.Acquire();
         for (size_t i = 1; i < materialized.size(); ++i) {
           IntersectLists(*out, *materialized[i], next.get());
           out->swap(*next);
         }
       } else if (leaves.size() == 1) {
-        CountDecodedSet(*leaves[0]);
-        codec.Decode(*leaves[0], out);
-        li = 1;
+        CountDecodedSet(*leaves[0].set);
+        codec.Decode(*leaves[0].set, out);
+        seeded = 1;
       } else {
-        codec.Intersect(*leaves[0], *leaves[1], out);
-        li = 2;
+        codec.Intersect(*leaves[0].set, *leaves[1].set, out);
+        seeded = 2;
       }
-      TRACE_SPAN("svs_probe");
-      for (; li < leaves.size() && !out->empty(); ++li) {
-        if (token != nullptr) {
-          Status st = token->Check();
-          if (!st.ok()) return st;
-        }
-        if (leaves[li]->Cardinality() * 8 < out->size()) {
-          ScratchArena::Lease decoded = arena.Acquire();
-          CountDecodedSet(*leaves[li]);
-          codec.Decode(*leaves[li], decoded.get());
-          GallopIntersect(*decoded, *out, next.get());
-        } else {
-          codec.IntersectWithList(*leaves[li], *out, next.get());
-        }
-        out->swap(*next);
-      }
+      st = ProbeSvS(std::span(leaves).subspan(seeded), token, &arena, out);
+      if (!st.ok()) return st;
       scope.AddUint("rows", out->size());
       return Status::Ok();
     }
     case QueryPlan::Op::kOr:
     default: {
-      if (plan.children.empty())
-        return Status::InvalidArgument("OR node with no children");
       obs::ExplainScope scope("plan.or");
       scope.AddUint("children", plan.children.size());
       std::vector<const CompressedSet*> leaves;
       std::vector<ScratchArena::Lease> materialized;
-      for (const QueryPlan& child : plan.children) {
-        if (child.op == QueryPlan::Op::kLeaf) {
-          if (child.leaf >= sets.size())
-            return Status::InvalidArgument("plan leaf index out of range");
-          if (sets[child.leaf] == nullptr)
-            return Status::InvalidArgument("plan references missing input set");
-          ExplainInlineLeaf(codec, child.leaf, *sets[child.leaf]);
-          leaves.push_back(sets[child.leaf]);
-        } else {
-          ScratchArena::Lease sub = arena.Acquire();
-          Status st =
-              EvaluateChecked(codec, child, sets, token, arena, sub.get());
-          if (!st.ok()) return st;
-          materialized.push_back(std::move(sub));
-        }
-      }
+      Status st = EvaluateChildren(codec, plan, sets, token, arena, &leaves,
+                                   &materialized);
+      if (!st.ok()) return st;
       if (!leaves.empty()) {
         UnionSets(codec, leaves, &arena, out);
       }
@@ -279,17 +165,26 @@ Status EvaluateChecked(const Codec& codec, const QueryPlan& plan,
 
 }  // namespace
 
+Status ValidatePlan(const QueryPlan& plan, size_t num_inputs,
+                    std::vector<size_t>* leaves) {
+  leaves->clear();
+  Status st = CollectLeaves(plan, num_inputs, leaves);
+  std::sort(leaves->begin(), leaves->end());
+  leaves->erase(std::unique(leaves->begin(), leaves->end()), leaves->end());
+  return st;
+}
+
 void EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                   std::span<const CompressedSet* const> sets,
                   ScratchArena* arena, std::vector<uint32_t>* out) {
-  Evaluate(codec, plan, sets, *arena, out);
+  Evaluate(codec, plan, sets, nullptr, *arena, out);
 }
 
 std::vector<uint32_t> EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                                    std::span<const CompressedSet* const> sets) {
   ScratchArena arena;
   std::vector<uint32_t> out;
-  Evaluate(codec, plan, sets, arena, &out);
+  Evaluate(codec, plan, sets, nullptr, arena, &out);
   return out;
 }
 
@@ -297,7 +192,20 @@ Status EvaluatePlanChecked(const Codec& codec, const QueryPlan& plan,
                            std::span<const CompressedSet* const> sets,
                            const CancellationToken* token, ScratchArena* arena,
                            std::vector<uint32_t>* out) {
-  Status st = EvaluateChecked(codec, plan, sets, token, *arena, out);
+  out->clear();
+  if (token != nullptr) {
+    if (Status st = token->Check(); !st.ok()) return st;
+  }
+  std::vector<size_t> leaves;
+  if (Status st = ValidatePlan(plan, sets.size(), &leaves); !st.ok()) {
+    return st;
+  }
+  for (size_t leaf : leaves) {
+    if (sets[leaf] == nullptr) {
+      return Status::InvalidArgument("plan references missing input set");
+    }
+  }
+  Status st = Evaluate(codec, plan, sets, token, *arena, out);
   if (!st.ok()) out->clear();
   return st;
 }

@@ -58,16 +58,25 @@ void EvaluatePlan(const Codec& codec, const QueryPlan& plan,
 std::vector<uint32_t> EvaluatePlan(const Codec& codec, const QueryPlan& plan,
                                    std::span<const CompressedSet* const> sets);
 
+// The plan-shape check for plans that crossed a trust boundary:
+// kInvalidArgument unless every leaf indexes one of `num_inputs` inputs and
+// every AND/OR node has children. `leaves` receives the distinct leaf
+// indices the plan references, ascending (partial on error).
+Status ValidatePlan(const QueryPlan& plan, size_t num_inputs,
+                    std::vector<size_t>* leaves);
+
 // Fault-contained form of EvaluatePlan: computes bit-identical results on
 // success, but instead of assuming a well-formed plan it returns
-//   kInvalidArgument   — leaf index out of range, null input set, or an
-//                        AND/OR node with no children;
 //   kCancelled /
-//   kDeadlineExceeded  — `token` tripped (polled at every plan-node entry,
-//                        so latency is bounded by one decode/intersect).
+//   kDeadlineExceeded  — `token` tripped (polled first, then at every plan
+//                        node entry and SvS probe step, so latency is
+//                        bounded by one decode/intersect);
+//   kInvalidArgument   — ValidatePlan failed, or a referenced input set is
+//                        null. The plan is validated once, before any work.
 // On any non-OK status `out` is cleared. `token` may be null (no
-// cancellation). The trusted EvaluatePlan stays assert-only; this is the
-// entry point for plans or sets that crossed a trust boundary.
+// cancellation). The trusted EvaluatePlan runs the same evaluator with no
+// token and no validation; this is the entry point for plans or sets that
+// crossed a trust boundary.
 Status EvaluatePlanChecked(const Codec& codec, const QueryPlan& plan,
                            std::span<const CompressedSet* const> sets,
                            const CancellationToken* token, ScratchArena* arena,

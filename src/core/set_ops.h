@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "core/cancel.h"
 #include "core/codec.h"
 #include "core/scratch.h"
 
@@ -49,29 +50,33 @@ void DifferenceSets(const Codec& codec, const CompressedSet& a,
 // of mixed-codec set operations, where every list may use a different
 // representation (the planner's per-list codec choice). All operations
 // below are correct for any codec pairing; same-codec pairs use the codec's
-// own compressed operation (bitmap word-AND, skip probing), cross-codec
-// pairs fall back to decode-smaller-probe-larger (the larger side keeps its
-// skip/bucket/bulk-block probing) or a SIMD merge of two decoded lists,
-// per ChooseIntersectStrategy.
+// own compressed operation. The one cross-codec intersection rule is the
+// planner's cost-model chooser (planner::PlannedIntersect).
 
 struct TaggedSet {
   const Codec* codec = nullptr;
   const CompressedSet* set = nullptr;
 };
 
-// out = a AND b across the codec boundary.
-void IntersectTagged(const TaggedSet& a, const TaggedSet& b,
-                     std::vector<uint32_t>* out);
+// Orders `sets` by ascending cardinality: SvS's processing order.
+void SortByCardinality(std::span<TaggedSet> sets);
+
+// The SvS probe loop every k-way intersection shares (paper §4.3): the
+// caller seeds `out` (typically by intersecting the two smallest sets) and
+// passes the remaining sets, already in SvS order; each is probed through
+// its own codec until `out` empties. A set much smaller than the running
+// result (card * 8 < |out|, e.g. a selective predicate ANDed with a wide
+// union) is decoded and galloped into `out` instead of pushing every result
+// element through its skip index; a seed intersected from the two smallest
+// sets never triggers that. `token` (nullable) is polled before each step;
+// on a non-OK return `out` holds a partial result.
+Status ProbeSvS(std::span<const TaggedSet> rest,
+                const CancellationToken* token, ScratchArena* arena,
+                std::vector<uint32_t>* out);
 
 // out = a OR b across the codec boundary.
 void UnionTagged(const TaggedSet& a, const TaggedSet& b,
                  std::vector<uint32_t>* out);
-
-// SvS over k mixed-codec sets: sort by cardinality, intersect the two
-// smallest, probe the rest through each set's own codec. k == 1 decodes,
-// k == 0 clears.
-void IntersectTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
-                         std::vector<uint32_t>* out);
 
 // k-way heap union over the decoded lists, each decoded by its own codec.
 void UnionTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,

@@ -242,19 +242,10 @@ void PlannedIntersectSets(std::span<const TaggedSet> sets,
     sets[0].codec->Decode(*sets[0].set, out);
     return;
   }
-  std::vector<const TaggedSet*> order;
-  order.reserve(sets.size());
-  for (const TaggedSet& s : sets) order.push_back(&s);
-  std::sort(order.begin(), order.end(),
-            [](const TaggedSet* a, const TaggedSet* b) {
-              return a->set->Cardinality() < b->set->Cardinality();
-            });
-  PlannedIntersect(*order[0], *order[1], strategy, model, out);
-  ScratchArena::Lease next = arena->Acquire();
-  for (size_t i = 2; i < order.size() && !out->empty(); ++i) {
-    order[i]->codec->IntersectWithList(*order[i]->set, *out, next.get());
-    out->swap(*next);
-  }
+  std::vector<TaggedSet> order(sets.begin(), sets.end());
+  SortByCardinality(order);
+  PlannedIntersect(order[0], order[1], strategy, model, out);
+  ProbeSvS(std::span(order).subspan(2), nullptr, arena, out);
 }
 
 }  // namespace intcomp::planner

@@ -95,27 +95,6 @@ size_t ShardedIndex::SizeInBytes() const {
 
 namespace {
 
-// Shape validation fused with leaf collection: the sorted, deduplicated
-// leaf list is what lazily-materialized snapshots need from PlanSets.
-Status CollectPlanLeaves(const QueryPlan& plan, size_t num_lists,
-                         std::vector<size_t>* leaves) {
-  if (plan.op == QueryPlan::Op::kLeaf) {
-    if (plan.leaf >= num_lists) {
-      return Status::InvalidArgument("plan leaf out of range");
-    }
-    leaves->push_back(plan.leaf);
-    return Status::Ok();
-  }
-  if (plan.children.empty()) {
-    return Status::InvalidArgument("operator node with no children");
-  }
-  for (const QueryPlan& child : plan.children) {
-    Status st = CollectPlanLeaves(child, num_lists, leaves);
-    if (!st.ok()) return st;
-  }
-  return Status::Ok();
-}
-
 void BumpServiceCounter(const char* name) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   if (reg.Enabled()) reg.AddCounter(name, 1);
@@ -204,15 +183,14 @@ Status IndexService::QueryImpl(const QueryPlan& plan,
 
   // Plan once: shape validation plus the canonical cache key; the fan-out
   // below reuses the original plan (same algebra, so the cache entry is
-  // valid for every commutation of it).
+  // valid for every commutation of it). The distinct leaves are what
+  // lazily-materialized snapshots need from PlanSets.
   std::vector<size_t> leaves;
-  Status shape = CollectPlanLeaves(plan, index->NumLists(), &leaves);
+  Status shape = ValidatePlan(plan, index->NumLists(), &leaves);
   if (!shape.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return shape;
   }
-  std::sort(leaves.begin(), leaves.end());
-  leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
   if (explain_scope.active()) {
     explain_scope.AddUint("lists", leaves.size());
   }

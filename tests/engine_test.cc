@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -340,6 +341,37 @@ TEST(EvaluatePlanCheckedTest, ValidatesShapeAndMatchesTrustedPath) {
                    std::chrono::milliseconds(1));
   st = EvaluatePlanChecked(codec, plan, sets, &past, &arena, &out);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+  // The token is polled before the plan is validated: a cancelled request
+  // reports kCancelled even when its plan is also malformed.
+  st = EvaluatePlanChecked(codec, QueryPlan::And({}), sets, &cancelled,
+                           &arena, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
+
+  // &(|(big,big),small): the union is more than 8x the leaf, so the SvS
+  // probe decodes the leaf and gallops it into the union.
+  auto lbig1 = RandomSortedList(20000, domain, 33);
+  auto lbig2 = RandomSortedList(20000, domain, 34);
+  auto lsmall = RandomSortedList(500, domain, 35);
+  auto sbig1 = codec.Encode(lbig1, domain);
+  auto sbig2 = codec.Encode(lbig2, domain);
+  auto ssmall = codec.Encode(lsmall, domain);
+  std::vector<const CompressedSet*> skewed = {sbig1.get(), sbig2.get(),
+                                              ssmall.get()};
+  const auto skew_plan = QueryPlan::And(
+      {QueryPlan::Or({QueryPlan::Leaf(0), QueryPlan::Leaf(1)}),
+       QueryPlan::Leaf(2)});
+  std::set<uint32_t> big_union(lbig1.begin(), lbig1.end());
+  big_union.insert(lbig2.begin(), lbig2.end());
+  ASSERT_GT(big_union.size(), 8 * lsmall.size());
+  std::vector<uint32_t> oracle;
+  for (uint32_t v : lsmall) {
+    if (big_union.count(v) != 0) oracle.push_back(v);
+  }
+  ASSERT_TRUE(EvaluatePlanChecked(codec, skew_plan, skewed, nullptr, &arena,
+                                  &out)
+                  .ok());
+  EXPECT_EQ(out, EvaluatePlan(codec, skew_plan, skewed));
+  EXPECT_EQ(out, oracle);
 }
 
 TEST(FaultContainmentTest, BadQueriesFailAloneAndHealthyResultsAreIdentical) {

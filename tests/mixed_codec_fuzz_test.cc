@@ -1,12 +1,15 @@
 // Mixed-codec differential fuzzer (satellite of DESIGN.md §5.12).
 //
-// The tagged set operations (core/set_ops.h) intersect, union, and
-// difference sets that live under *different* codecs — the boundary the
-// planner's per-list codec choice creates inside one index. This fuzzer
-// drives every bitmap×list codec pairing (plus the adaptive extensions as
-// a third operand) through those ops against a sorted-vector oracle, and
-// checks the metamorphic identities that catch asymmetric bugs a single
-// oracle comparison can miss:
+// Mixed-codec operations intersect, union, and difference sets that live
+// under *different* codecs — the boundary the planner's per-list codec
+// choice creates inside one index. Intersection goes through the rule
+// served queries use, planner::PlannedIntersect under every SetOpStrategy
+// (a forced kCompressed degrades to the probe across codecs), and the k-way
+// planner::PlannedIntersectSets; union and difference through the tagged
+// ops in core/set_ops.h. This fuzzer drives every bitmap×list codec pairing
+// (plus the adaptive extensions as a third operand) through those ops
+// against a sorted-vector oracle, and checks the metamorphic identities
+// that catch asymmetric bugs a single oracle comparison can miss:
 //
 //   * commutativity:  A ∩ B = B ∩ A and A ∪ B = B ∪ A with the codec
 //     assignment swapped along with the operands;
@@ -33,6 +36,7 @@
 #include "core/registry.h"
 #include "core/scratch.h"
 #include "core/set_ops.h"
+#include "planner/strategy.h"
 #include "test_util.h"
 
 namespace intcomp {
@@ -40,6 +44,13 @@ namespace intcomp {
 int g_fuzz_iters = 6;  // iterations per bitmap×list pairing
 
 namespace {
+
+using planner::CostModel;
+using planner::SetOpStrategy;
+
+constexpr SetOpStrategy kStrategies[] = {
+    SetOpStrategy::kAuto, SetOpStrategy::kCompressed,
+    SetOpStrategy::kDecodeMerge, SetOpStrategy::kGallopProbe};
 
 std::vector<uint32_t> RefDifference(const std::vector<uint32_t>& a,
                                     const std::vector<uint32_t>& b) {
@@ -80,6 +91,7 @@ void RunPairing(const Codec& bitmap_codec, const Codec& list_codec,
   Prng rng(NoteSeed(seed));
   ScratchArena arena;
   const auto extensions = ExtensionCodecs();
+  const CostModel& model = CostModel::Default();
 
   for (int iter = 0; iter < g_fuzz_iters; ++iter) {
     const auto a = DrawList(&rng, domain);
@@ -91,10 +103,14 @@ void RunPairing(const Codec& bitmap_codec, const Codec& list_codec,
     const auto ref_or = RefUnion(a, b);
 
     std::vector<uint32_t> out;
-    IntersectTagged(ea.tagged, eb.tagged, &out);
-    ASSERT_EQ(out, ref_and);
-    IntersectTagged(eb.tagged, ea.tagged, &out);  // commutativity
-    ASSERT_EQ(out, ref_and);
+    for (SetOpStrategy strategy : kStrategies) {
+      SCOPED_TRACE(std::string(planner::SetOpStrategyName(strategy)));
+      planner::PlannedIntersect(ea.tagged, eb.tagged, strategy, model, &out);
+      ASSERT_EQ(out, ref_and);
+      // Commutativity.
+      planner::PlannedIntersect(eb.tagged, ea.tagged, strategy, model, &out);
+      ASSERT_EQ(out, ref_and);
+    }
 
     UnionTagged(ea.tagged, eb.tagged, &out);
     ASSERT_EQ(out, ref_or);
@@ -116,14 +132,17 @@ void RunPairing(const Codec& bitmap_codec, const Codec& list_codec,
     UnionTagged(not_a.tagged, not_b.tagged, &not_union);
     ASSERT_EQ(RefComplement(not_union, domain), ref_and);
 
-    // Three-way SvS and k-way union with an adaptive third operand.
+    // Three-way planned SvS and k-way union with an adaptive third operand.
     const Codec& third =
         *extensions[static_cast<size_t>(rng.NextBounded(extensions.size()))];
     const auto c = DrawList(&rng, domain);
     const auto ec = EncodeTagged(third, c, domain);
     const std::vector<TaggedSet> sets = {ea.tagged, eb.tagged, ec.tagged};
-    IntersectTaggedSets(sets, &arena, &out);
-    ASSERT_EQ(out, RefIntersect(ref_and, c));
+    for (SetOpStrategy strategy : kStrategies) {
+      SCOPED_TRACE(std::string(planner::SetOpStrategyName(strategy)));
+      planner::PlannedIntersectSets(sets, strategy, model, &arena, &out);
+      ASSERT_EQ(out, RefIntersect(ref_and, c));
+    }
     UnionTaggedSets(sets, &arena, &out);
     ASSERT_EQ(out, RefUnion(ref_or, c));
   }

@@ -118,12 +118,14 @@ std::vector<uint8_t> Corrupt(const std::vector<uint8_t>& frame, Prng* rng,
 // Builds a raw frame header declaring `len` payload bytes (carrying `body`
 // actual bytes) — the tool for adversarial declared lengths.
 std::vector<uint8_t> RawFrame(uint32_t len, const std::vector<uint8_t>& body) {
-  std::vector<uint8_t> out(kFrameHeaderBytes);
+  std::vector<uint8_t> out(kFrameHeaderBytes + body.size());
   std::memcpy(out.data(), &kFrameMagic, 4);
   std::memcpy(out.data() + 4, &len, 4);
   const uint32_t crc = Crc32Of(body);
   std::memcpy(out.data() + 8, &crc, 4);
-  out.insert(out.end(), body.begin(), body.end());
+  if (!body.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, body.data(), body.size());
+  }
   return out;
 }
 

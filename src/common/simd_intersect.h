@@ -81,8 +81,9 @@ inline IntersectStrategy ChooseIntersectStrategy(size_t smaller,
 
 // ------------------------------------------------------------- counters
 
-// Per-thread tallies of which kernel actually executed; the batch engine
-// samples deltas around each query to attribute kernels per query.
+// Per-thread tallies of which kernel actually executed; benches sample
+// deltas around a measured loop and fold them into the metrics registry
+// (MetricsRegistry::RecordKernelCounters).
 struct KernelCounters {
   uint64_t scalar_merge = 0;   // scalar merge intersections
   uint64_t simd_merge = 0;     // shuffle-based merge intersections
@@ -94,10 +95,6 @@ struct KernelCounters {
 
   KernelCounters& operator+=(const KernelCounters& o);
   KernelCounters operator-(const KernelCounters& o) const;
-  uint64_t Total() const;
-  // Name of the dominant kernel ("simd-merge", "gallop", ...; "none" when
-  // every counter is zero) — the per-query label the engine reports.
-  std::string_view Dominant() const;
 };
 
 // Mutable reference to the calling thread's tallies.

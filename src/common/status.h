@@ -1,7 +1,7 @@
 // Lightweight error propagation for the untrusted-input boundary.
 //
 // The decode/query hot paths stay exception-free: fallible entry points
-// (Codec::DeserializeChecked, EvaluatePlanChecked, BatchExecutor) return a
+// (Codec::DeserializeChecked, EvaluatePlanChecked, IndexService) return a
 // Status or StatusOr<T> instead of throwing. Status is cheap to pass around —
 // the OK value carries no allocation; error values carry a code plus a short
 // human-readable message for reports and logs.

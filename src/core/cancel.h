@@ -1,8 +1,8 @@
 // Cooperative cancellation for query evaluation.
 //
 // A CancellationToken combines an explicit cancel flag with an optional
-// deadline and an optional parent token (the batch executor chains a
-// per-query deadline token onto the caller's batch-wide token). Evaluation
+// deadline and an optional parent token (the net server chains each
+// request's deadline token onto its drain token). Evaluation
 // polls Check() at plan-node boundaries — between decode / intersect /
 // union steps, not inside them — so cancellation latency is bounded by the
 // cost of one node, which keeps the hot loops branch-free.

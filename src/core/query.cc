@@ -95,7 +95,6 @@ Status Evaluate(const Codec& codec, const QueryPlan& plan,
         scope.AddUint("card", sets[plan.leaf]->Cardinality());
         scope.AddStr("codec", codec.SetCodecName(*sets[plan.leaf]));
       }
-      ++obs::ThreadOpCounters().lists_touched;
       CountDecodedSet(*sets[plan.leaf]);
       codec.Decode(*sets[plan.leaf], out);
       return Status::Ok();
@@ -115,7 +114,6 @@ Status Evaluate(const Codec& codec, const QueryPlan& plan,
       SortByCardinality(leaves);
       std::sort(materialized.begin(), materialized.end(),
                 [](const auto& a, const auto& b) { return a->size() < b->size(); });
-      obs::ThreadOpCounters().lists_touched += leaves.size();
 
       // SvS seed: the merged materialized results, else the smallest one or
       // two leaves; the remaining leaves are probed into it.

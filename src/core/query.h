@@ -47,7 +47,7 @@ struct QueryPlan {
 // sub-results; OR nodes union leaves on the compressed form first, then
 // merge in materialized sub-results. All intermediate lists are leased from
 // `arena`; only `out`'s own growth allocates, so a caller that keeps one
-// arena across a query stream (e.g. the batch engine's per-worker arenas)
+// arena across a query stream (e.g. the index service's per-worker arenas)
 // pays no per-query temporary allocation. The result is a pure function of
 // (codec, plan, sets) — the arena never changes what is computed.
 void EvaluatePlan(const Codec& codec, const QueryPlan& plan,

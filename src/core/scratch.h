@@ -3,13 +3,13 @@
 // EvaluatePlan / IntersectSets / UnionSets allocate every temporary list
 // they need from a ScratchArena. Buffers returned to the arena keep their
 // capacity, so steady-state evaluation of a query stream performs no heap
-// allocation beyond the final per-query result — the allocation churn the
-// batch engine (src/engine) is built to kill. The legacy entry points
+// allocation beyond the final per-query result — the allocation churn a
+// serving loop must not pay. The legacy entry points
 // without an arena argument still exist; they spin up a throwaway arena per
 // call and behave exactly as before.
 //
-// An arena is NOT thread-safe. The batch executor owns one arena per pool
-// worker; serial callers use one local arena. Leases must not outlive the
+// An arena is NOT thread-safe. IndexService owns one arena per pool worker;
+// serial callers use one local arena. Leases must not outlive the
 // arena they came from.
 
 #ifndef INTCOMP_CORE_SCRATCH_H_

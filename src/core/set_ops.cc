@@ -73,7 +73,6 @@ void IntersectSets(const Codec& codec,
                    ScratchArena* arena, std::vector<uint32_t>* out) {
   TRACE_SPAN("intersect_sets");
   obs::ScopedOpTimer timer(codec.Name(), obs::OpKind::kIntersect);
-  obs::ThreadOpCounters().lists_touched += sets.size();
   out->clear();
   if (sets.empty()) return;
   if (sets.size() == 1) {
@@ -90,7 +89,6 @@ void UnionSets(const Codec& codec, std::span<const CompressedSet* const> sets,
                ScratchArena* arena, std::vector<uint32_t>* out) {
   TRACE_SPAN("union_sets");
   obs::ScopedOpTimer timer(codec.Name(), obs::OpKind::kUnion);
-  obs::ThreadOpCounters().lists_touched += sets.size();
   out->clear();
   if (sets.empty()) return;
   if (sets.size() == 1) {
@@ -183,7 +181,6 @@ void UnionTaggedSets(std::span<const TaggedSet> sets, ScratchArena* arena,
   TRACE_SPAN("union_tagged_sets");
   obs::ExplainScope scope("set_ops.union_tagged_sets");
   scope.AddUint("k", sets.size());
-  obs::ThreadOpCounters().lists_touched += sets.size();
   out->clear();
   if (sets.empty()) return;
   if (sets.size() == 1) {

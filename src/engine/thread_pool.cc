@@ -22,7 +22,6 @@ ThreadPool::ThreadPool(size_t num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  Wait();
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     stop_ = true;
@@ -55,7 +54,6 @@ void ThreadPool::Enqueue(size_t w, PoolTask task) {
       inner(worker);
     };
   }
-  pending_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lock(workers_[w]->mu);
     workers_[w]->tasks.push_back(std::move(task));
@@ -104,14 +102,7 @@ void ThreadPool::RunTask(Worker& self, size_t id, PoolTask& task) {
   const uint64_t t0 = NowNs();
   task(id);
   self.busy_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-  self.tasks_run.fetch_add(1, std::memory_order_relaxed);
-  task = nullptr;  // release captures before signalling quiescence
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Empty critical section: pairs with the predicate check in Wait() so
-    // the notify cannot fall between a waiter's check and its block.
-    { std::lock_guard<std::mutex> lock(done_mu_); }
-    done_cv_.notify_all();
-  }
+  task = nullptr;  // release captures before taking the next task
 }
 
 void ThreadPool::WorkerLoop(size_t id) {
@@ -124,7 +115,8 @@ void ThreadPool::WorkerLoop(size_t id) {
     }
     // Nothing anywhere: record the epoch, re-scan once (a task may have
     // been enqueued between the scans above and the epoch read), then
-    // sleep until the epoch moves.
+    // sleep until the epoch moves. `stop_` is honoured only here, right
+    // after an empty scan, so the destructor never strands a queued task.
     uint64_t epoch;
     {
       std::lock_guard<std::mutex> lock(idle_mu_);
@@ -140,18 +132,9 @@ void ThreadPool::WorkerLoop(size_t id) {
       std::unique_lock<std::mutex> lock(idle_mu_);
       work_cv_.wait(lock,
                     [&] { return stop_ || signal_epoch_ != epoch; });
-      if (stop_) return;
     }
     self.idle_ns.fetch_add(NowNs() - i0, std::memory_order_relaxed);
   }
-}
-
-void ThreadPool::Wait() {
-  if (pending_.load(std::memory_order_acquire) == 0) return;
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [&] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
 }
 
 void ThreadPool::ParallelFor(
@@ -163,13 +146,26 @@ void ThreadPool::ParallelFor(
   // paying one enqueue per index.
   const size_t chunks = std::min(n, NumWorkers() * 4);
   const size_t per = (n + chunks - 1) / chunks;
+  // Per-call latch: counts down this call's chunks only, so concurrent
+  // callers never wait on each other's work. The last chunk notifies while
+  // holding the mutex, so the waiter cannot see zero, return and destroy
+  // the latch before notify_one is done with it.
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t remaining = 0;
+  } latch;
+  latch.remaining = (n + per - 1) / per;
   for (size_t lo = begin; lo < end; lo += per) {
     const size_t hi = std::min(end, lo + per);
-    Submit([lo, hi, &fn](size_t worker) {
+    Submit([lo, hi, &fn, &latch](size_t worker) {
       for (size_t i = lo; i < hi; ++i) fn(i, worker);
+      std::lock_guard<std::mutex> lock(latch.mu);
+      if (--latch.remaining == 0) latch.cv.notify_one();
     });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(latch.mu);
+  latch.cv.wait(lock, [&] { return latch.remaining == 0; });
 }
 
 }  // namespace intcomp

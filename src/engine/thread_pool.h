@@ -1,17 +1,24 @@
-// Fixed-size work-stealing thread pool for the batch query engine.
+// Fixed-size work-stealing thread pool: the execution backbone of the
+// index service's per-shard fan-out (service/sharded_index.h).
 //
 // Each worker owns a deque: the owner pushes and pops at the back (LIFO,
 // cache-warm), idle workers steal from the front of a victim's deque (FIFO,
 // oldest task first — the classic work-stealing discipline). Deques are
-// mutex-protected rather than lock-free: tasks here are whole queries
-// (microseconds to milliseconds), so the lock is noise, and the simple
-// design is trivially clean under -fsanitize=thread.
+// mutex-protected rather than lock-free: tasks here are whole shard
+// evaluations (microseconds to milliseconds), so the lock is noise, and the
+// simple design is trivially clean under -fsanitize=thread.
 //
-// The pool is a quiescence-based batch facility, not a futures library:
-// Submit() enqueues fire-and-forget tasks, Wait() blocks until *all*
-// submitted tasks have finished. One batch owner drives the pool at a time
-// (the BatchExecutor); Submit itself is thread-safe so running tasks may
-// spawn subtasks.
+// Two entry points, no futures: Submit() enqueues a fire-and-forget task,
+// and ParallelFor() runs an index range and returns once *its own* chunks
+// are done. Each ParallelFor call counts its chunks down on a latch that
+// lives on the caller's stack, so any number of threads may call it at
+// once and none waits for another caller's tasks. Destruction runs every
+// queued task before the workers exit, which is what fire-and-forget
+// submitters (LiveIndex::CompactAsync) rely on.
+//
+// ParallelFor must not be called from inside a pool task: the caller blocks
+// without running chunks itself, so a task waiting on the pool can hold the
+// last free worker.
 
 #ifndef INTCOMP_ENGINE_THREAD_POOL_H_
 #define INTCOMP_ENGINE_THREAD_POOL_H_
@@ -52,19 +59,16 @@ class ThreadPool {
   // Enqueues `task` on worker `w`'s deque specifically.
   void SubmitTo(size_t w, PoolTask task);
 
-  // Blocks until every submitted task has completed (pool quiescent).
-  void Wait();
-
   // Runs fn(i, worker) for i in [begin, end), spread over the workers in
-  // contiguous chunks, and blocks until done. Several chunks per worker are
-  // created so stealing can rebalance uneven iteration costs.
+  // contiguous chunks, and blocks until this call's chunks are done. Several
+  // chunks per worker are created so stealing can rebalance uneven
+  // iteration costs.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t index, size_t worker)>& fn);
 
   // Monotonic per-worker counters since pool construction. Callers that
-  // need per-batch numbers snapshot before/after (see BatchExecutor).
+  // need per-run numbers snapshot before/after (see bench/tab1_parallel).
   uint64_t Steals(size_t w) const { return workers_[w]->steals.load(std::memory_order_relaxed); }
-  uint64_t TasksRun(size_t w) const { return workers_[w]->tasks_run.load(std::memory_order_relaxed); }
   uint64_t BusyNs(size_t w) const { return workers_[w]->busy_ns.load(std::memory_order_relaxed); }
   uint64_t IdleNs(size_t w) const { return workers_[w]->idle_ns.load(std::memory_order_relaxed); }
 
@@ -75,7 +79,6 @@ class ThreadPool {
     std::mutex mu;
     std::deque<PoolTask> tasks;  // guarded by mu
     std::atomic<uint64_t> steals{0};
-    std::atomic<uint64_t> tasks_run{0};
     std::atomic<uint64_t> busy_ns{0};
     std::atomic<uint64_t> idle_ns{0};
   };
@@ -90,19 +93,16 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 
   std::atomic<size_t> next_worker_{0};  // round-robin submission cursor
-  std::atomic<size_t> pending_{0};      // submitted but not yet finished
 
   // Sleep/wake protocol: every Enqueue bumps `signal_epoch_` under
   // `idle_mu_`; a worker records the epoch before its final empty scan and
   // sleeps only if the epoch is unchanged, so a submission racing the scan
-  // can never be missed.
+  // can never be missed. A worker exits on `stop_` only right after a scan
+  // found every deque empty, so destruction drains all queued tasks.
   std::mutex idle_mu_;
   std::condition_variable work_cv_;
   uint64_t signal_epoch_ = 0;  // guarded by idle_mu_
   bool stop_ = false;          // guarded by idle_mu_
-
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
 };
 
 }  // namespace intcomp

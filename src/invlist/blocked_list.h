@@ -45,7 +45,6 @@
 #include "common/simd_intersect.h"
 #include "common/simdpack.h"
 #include "core/codec.h"
-#include "obs/op_counters.h"
 
 namespace intcomp {
 
@@ -105,15 +104,6 @@ template <typename Traits, size_t kBlockN = kListBlockSize>
 class BlockedCursor {
  public:
   explicit BlockedCursor(const BlockedSet<Traits>& set) : set_(&set) {}
-
-  // Block traffic is tallied in plain members and flushed to the thread's
-  // OpCounters once per cursor lifetime, keeping the per-block hot path free
-  // of TLS lookups.
-  ~BlockedCursor() {
-    obs::OpCounters& oc = obs::ThreadOpCounters();
-    oc.blocks_loaded += stat_loaded_;
-    oc.blocks_skipped += stat_skipped_;
-  }
 
   // Positions at the smallest value >= target at-or-after the current
   // position (targets must be non-decreasing across calls — enforced by an
@@ -192,13 +182,6 @@ class BlockedCursor {
   }
 
   void Load(size_t b) {
-    // Blocks the skip pointers let us jump past without decoding.
-    if (loaded_ == kNone) {
-      stat_skipped_ += b;
-    } else if (b > loaded_) {
-      stat_skipped_ += b - loaded_ - 1;
-    }
-    ++stat_loaded_;
     size_t n = std::min(kBlockN, set_->count - b * kBlockN);
     Traits::DecodeBlock(set_->data.data() + set_->skip_offset[b], n, buf_);
     if (Traits::kDeltaBased) {
@@ -221,8 +204,6 @@ class BlockedCursor {
   size_t loaded_ = kNone;
   size_t pos_ = 0;
   size_t n_ = 0;
-  uint64_t stat_loaded_ = 0;
-  uint64_t stat_skipped_ = 0;
 #ifndef NDEBUG
   uint32_t dbg_last_target_ = 0;
   bool dbg_have_target_ = false;

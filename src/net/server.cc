@@ -30,7 +30,9 @@ void Count(std::atomic<uint64_t>* local, const char* name) {
 }  // namespace
 
 QueryServer::QueryServer(IndexService* service, const ServerOptions& options)
-    : service_(service), options_(options) {}
+    : service_(service),
+      options_(options),
+      domain_(std::max<uint64_t>(service->Snapshot()->NumRows(), 1)) {}
 
 QueryServer::~QueryServer() { Stop(); }
 
@@ -214,26 +216,34 @@ void QueryServer::HandleRequest(const QueryRequest& req,
   }
 
   if (st.ok()) {
-    Count(&ok_, "net.ok");
     // The result rows ride back as a compressed-set image of the wire codec
     // — the same Serialize/DeserializeChecked boundary disk images cross.
-    const uint64_t domain =
-        std::max<uint64_t>(service_->Snapshot()->NumRows(), 1);
-    const auto set = wire_codec_->Encode(rows, domain);
+    const auto set = wire_codec_->Encode(rows, domain_);
     resp.has_rows = true;
     resp.codec_name = wire_codec_->Name();
-    resp.domain = domain;
+    resp.domain = domain_;
     wire_codec_->Serialize(*set, &resp.image);
-  } else {
-    if (st.code() == StatusCode::kDeadlineExceeded ||
-        st.code() == StatusCode::kCancelled) {
-      Count(&deadline_, "net.deadline");
-    } else if (st.code() == StatusCode::kInvalidArgument) {
-      Count(&rejected_, "net.rejected");
+    const size_t start = reply->size();
+    EncodeResponseFrame(resp, reply);
+    if (reply->size() - start - kFrameHeaderBytes <=
+        options_.max_payload_bytes) {
+      Count(&ok_, "net.ok");
+      return;
     }
-    resp.code = st.code();
-    resp.message = st.message();
+    // Too large for a frame: the client would see a framing error and lose
+    // the connection, so answer with a typed error instead.
+    reply->resize(start);
+    resp = QueryResponse{};
+    st = Status::InvalidArgument("result image exceeds the reply payload cap");
   }
+  if (st.code() == StatusCode::kDeadlineExceeded ||
+      st.code() == StatusCode::kCancelled) {
+    Count(&deadline_, "net.deadline");
+  } else if (st.code() == StatusCode::kInvalidArgument) {
+    Count(&rejected_, "net.rejected");
+  }
+  resp.code = st.code();
+  resp.message = st.message();
   EncodeResponseFrame(resp, reply);
 }
 

@@ -6,8 +6,11 @@
 // encoding) and call IndexService::Query, whose shard fan-out runs on the
 // shared work-stealing ThreadPool — so the pool stays the single execution
 // backbone and connection threads are just I/O pumps that block on it.
-// (Request handling must NOT itself run on the pool: Query waits for pool
-// quiescence, and a pool task waiting on the pool deadlocks.)
+// Query's ParallelFor waits only for its own shard tasks, never for pool
+// quiescence, so concurrent connections do not wait on each other. Request
+// handling still stays off the pool: a handler running as a pool task
+// would hold that worker while it blocks in ParallelFor, and with every
+// worker so held the shard tasks could never run.
 //
 // Admission control: a bounded in-flight budget (`max_in_flight`). A query
 // arriving with the budget exhausted is shed immediately with an explicit
@@ -30,6 +33,13 @@
 // magic, oversized declared length, CRC mismatch) gets one error reply and
 // a close, because the byte stream has lost alignment. Nothing a client
 // sends can crash the server — the protocol fuzz campaign pins this down.
+// A result whose reply would exceed `max_payload_bytes` is answered with a
+// kInvalidArgument reply (counted as rejected) instead of an oversized
+// frame, so the connection stays usable.
+//
+// Reply domain: every row image is encoded over the service's row count,
+// read once at construction; IndexService::SwapSnapshot refuses a
+// snapshot with a different row count, so the domain cannot drift.
 //
 // Drain protocol (Stop()):
 //   1. stop accepting (listener closed),
@@ -108,7 +118,8 @@ class QueryServer {
     uint64_t ok = 0;
     uint64_t overloaded = 0;     // shed by admission control
     uint64_t deadline = 0;       // kDeadlineExceeded replies
-    uint64_t rejected = 0;       // kInvalidArgument replies (bad plan)
+    uint64_t rejected = 0;       // kInvalidArgument replies (bad plan,
+                                 // result over the payload cap)
     uint64_t malformed = 0;      // framing/payload errors
     uint64_t idle_closed = 0;    // stalled clients reaped by idle timeout
   };
@@ -127,6 +138,7 @@ class QueryServer {
 
   IndexService* service_;
   ServerOptions options_;
+  const uint64_t domain_;  // row-id domain of every reply image
   const Codec* wire_codec_ = nullptr;
 
   ScopedFd listen_fd_;

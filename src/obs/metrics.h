@@ -9,7 +9,7 @@
 //
 // Hot-path protocol: look up the histogram pointer once (shared-lock map
 // hit, ~100 ns, amortized over a microsecond-scale operation or hoisted out
-// of the loop entirely — see BatchExecutor), then Record() lock-free.
+// of the loop entirely — see bench/tab1_parallel), then Record() lock-free.
 
 #ifndef INTCOMP_OBS_METRICS_H_
 #define INTCOMP_OBS_METRICS_H_
@@ -31,7 +31,7 @@ namespace intcomp {
 namespace obs {
 
 // The per-codec operations the paper's breakdowns attribute cost to, plus
-// the engine-level whole-query roll-up.
+// whole-query roll-ups (kQuery: one evaluated plan in the benches).
 enum class OpKind : uint8_t {
   kIntersect = 0,
   kUnion,

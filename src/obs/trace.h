@@ -17,8 +17,8 @@
 // open span and the root's sampling decision; ScopedTraceContext re-applies
 // it on another thread, so a worker's spans nest under the submitting
 // thread's span. ThreadPool::Submit does this automatically, which is how a
-// batch span on the caller becomes the parent of per-query spans on workers
-// regardless of which worker steals the task.
+// service.query span on the caller becomes the parent of the per-shard
+// spans on workers regardless of which worker steals the task.
 //
 // Thread-safety contract for readers: SnapshotSpans / ClearSpans /
 // SetTraceRingCapacity require quiescence — no thread may be concurrently

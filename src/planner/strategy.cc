@@ -235,7 +235,6 @@ void PlannedIntersectSets(std::span<const TaggedSet> sets,
                           ScratchArena* arena, std::vector<uint32_t>* out) {
   TRACE_SPAN("planner.intersect");
   obs::ScopedOpTimer timer("Planner", obs::OpKind::kPlannerQuery);
-  obs::ThreadOpCounters().lists_touched += sets.size();
   out->clear();
   if (sets.empty()) return;
   if (sets.size() == 1) {

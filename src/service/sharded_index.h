@@ -58,7 +58,6 @@
 #include "core/codec.h"
 #include "core/query.h"
 #include "core/scratch.h"
-#include "engine/engine_stats.h"
 #include "engine/thread_pool.h"
 #include "index/inverted_index.h"
 #include "service/result_cache.h"
@@ -142,7 +141,8 @@ struct IndexServiceOptions {
   ResultCacheOptions cache;
 };
 
-// Point-in-time cache counters the service exposes next to EngineStats.
+// Point-in-time cache and query counters of one service. The same cache
+// outcomes also reach the metrics registry as service.cache.* counters.
 struct ServiceStats {
   ResultCacheStats cache;
   uint64_t queries = 0;
@@ -151,16 +151,15 @@ struct ServiceStats {
 
 class IndexService {
  public:
-  // `index` and `pool` are borrowed and must outlive the service; `stats`
-  // (optional) receives cache hit/miss/bypass and query-outcome counts.
+  // `index` and `pool` are borrowed and must outlive the service.
   IndexService(const IndexSnapshot* index, ThreadPool* pool,
-               const IndexServiceOptions& options, EngineStats* stats = nullptr);
+               const IndexServiceOptions& options);
 
   // Shared-ownership flavor: the service keeps the snapshot alive as long
   // as it (or an in-flight query) still uses it — the write path swaps
   // snapshots while queries run, so borrowed lifetimes are not enough.
   IndexService(std::shared_ptr<const IndexSnapshot> index, ThreadPool* pool,
-               const IndexServiceOptions& options, EngineStats* stats = nullptr);
+               const IndexServiceOptions& options);
 
   // Evaluates `plan` (leaves are list ids of the index) and writes the
   // matching global row ids, sorted ascending, into *out. Returns
@@ -198,7 +197,8 @@ class IndexService {
   // Replaces the served snapshot (e.g. remapping a rewritten container
   // file, or publishing a new delta overlay). `next` must agree with the
   // current snapshot on shard count — the cache's generation table is
-  // sized per shard. Every shard is invalidated, so no result computed
+  // sized per shard — and on row count, so a reply's row-id domain never
+  // changes under a running server; kInvalidArgument otherwise. Every shard is invalidated, so no result computed
   // against the old snapshot can be served again. Safe concurrently with
   // Query: an in-flight query pins the snapshot it started on (copy-on-
   // write), so each query observes exactly one generation end to end.
@@ -225,7 +225,6 @@ class IndexService {
   mutable std::mutex index_mu_;  // guards index_ (pointer copy only)
   std::shared_ptr<const IndexSnapshot> index_;
   ThreadPool* pool_;
-  EngineStats* stats_;
   std::unique_ptr<ResultCache> cache_;  // null when disabled
   std::vector<std::unique_ptr<ScratchArena>> arenas_;  // one per pool worker
   std::atomic<uint64_t> queries_{0};

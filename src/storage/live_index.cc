@@ -163,8 +163,8 @@ void LiveIndex::PublishLocked() {
   }
   generation_.fetch_add(1, std::memory_order_relaxed);
   if (service_ != nullptr) {
-    // Swap failures (shard-count mismatch) are impossible here: every
-    // overlay shares the base's router.
+    // Swap failures (shard- or row-count mismatch) are impossible here:
+    // every overlay shares the base's router.
     service_->SwapSnapshot(std::move(next));
   }
 }

@@ -1,14 +1,18 @@
-// Tests for the batch query engine: the work-stealing pool, the batch
-// executor's determinism guarantee (1 thread == N threads == serial
-// EvaluatePlan, for every codec), stats accounting across re-used pools,
-// and a small-query stress run to shake out races. This binary is the one
-// the INTCOMP_SANITIZE=thread CI job exercises.
+// Tests for the parallel query path: the work-stealing pool and its
+// per-call ParallelFor latch, the index service's determinism guarantee
+// over a sharded index (1 thread == N threads == serial EvaluatePlan, for
+// every codec), a small-query stress run with concurrent callers on one
+// shared pool, and the checked evaluator's fault containment. This binary
+// is the one the INTCOMP_SANITIZE=thread CI job repeats.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
-#include <numeric>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,10 +22,10 @@
 
 #include "common/prng.h"
 #include "core/registry.h"
-#include "engine/batch_executor.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/sharded_index.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
 
@@ -29,6 +33,7 @@ namespace intcomp {
 namespace {
 
 constexpr size_t kStressThreads = 8;  // the sanitizer job's thread count
+constexpr size_t kShards = 4;         // shard fan-out of the service tests
 
 struct Workload {
   std::vector<std::vector<uint32_t>> lists;
@@ -88,16 +93,39 @@ EncodedWorkload Encode(const Codec& codec, const Workload& w) {
   return e;
 }
 
+// Evaluates every plan through an IndexService over a kShards-way sharded
+// copy of `lists` (result cache off, so every query runs the fan-out).
+std::vector<std::vector<uint32_t>> ServeAll(
+    const Codec& codec, const std::vector<std::vector<uint32_t>>& lists,
+    uint64_t domain, const std::vector<QueryPlan>& plans, ThreadPool* pool) {
+  // Markov lists may run past the nominal domain; the row space holds them.
+  uint64_t rows = domain;
+  for (const auto& l : lists) {
+    if (!l.empty()) rows = std::max<uint64_t>(rows, uint64_t{l.back()} + 1);
+  }
+  const ShardedIndex index = ShardedIndex::Build(codec, lists, rows, kShards);
+  IndexServiceOptions options;
+  options.cache_enabled = false;
+  IndexService service(&index, pool, options);
+  std::vector<std::vector<uint32_t>> got(plans.size());
+  for (size_t q = 0; q < plans.size(); ++q) {
+    const Status st = service.Query(plans[q], &got[q]);
+    EXPECT_TRUE(st.ok()) << "query " << q << ": " << st.ToString();
+  }
+  return got;
+}
+
 // ---------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnce) {
-  ThreadPool pool(4);
   constexpr size_t kTasks = 1000;
   std::vector<std::atomic<int>> ran(kTasks);
-  for (size_t i = 0; i < kTasks; ++i) {
-    pool.Submit([&ran, i](size_t) { ran[i].fetch_add(1); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (size_t i = 0; i < kTasks; ++i) {
+      pool.Submit([&ran, i](size_t) { ran[i].fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before the workers exit
   for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(ran[i].load(), 1);
 }
 
@@ -112,16 +140,53 @@ TEST(ThreadPoolTest, ParallelForCoversRangeOnce) {
   pool.ParallelFor(5, 5, [&](size_t, size_t) { FAIL() << "empty range ran"; });
 }
 
-TEST(ThreadPoolTest, WaitIsReusableAcrossGenerations) {
+TEST(ThreadPoolTest, ParallelForIsReusableAcrossCalls) {
   ThreadPool pool(3);
   std::atomic<uint64_t> sum{0};
   for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&sum](size_t) { sum.fetch_add(1); });
-    }
-    pool.Wait();
+    pool.ParallelFor(0, 50, [&sum](size_t, size_t) { sum.fetch_add(1); });
     EXPECT_EQ(sum.load(), static_cast<uint64_t>((round + 1) * 50));
   }
+}
+
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnTasks) {
+  // Caller A's one task blocks on a flag; caller B's trivial ParallelFor
+  // must still return, because each call waits on its own latch rather
+  // than for the whole pool to go quiet. B runs on a thread with a bounded
+  // wait, so a pool-wide join fails this test instead of hanging it.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> a_started{false};
+  std::thread a([&] {
+    pool.ParallelFor(0, 1, [&](size_t, size_t) {
+      a_started.store(true);
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+  });
+  while (!a_started.load()) std::this_thread::yield();
+
+  std::atomic<int> b_ran{0};
+  std::packaged_task<void()> b_call([&] {
+    pool.ParallelFor(0, 1, [&](size_t, size_t) { b_ran.fetch_add(1); });
+  });
+  std::future<void> b_done = b_call.get_future();
+  std::thread b(std::move(b_call));
+  const bool b_returned =
+      b_done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  a.join();
+  b.join();
+  if (!b_returned) {
+    FAIL() << "ParallelFor waited for another caller's blocked task";
+  }
+  EXPECT_EQ(b_ran.load(), 1);
 }
 
 TEST(ThreadPoolTest, TasksSeeTheExecutingWorkerIndex) {
@@ -137,14 +202,15 @@ TEST(ThreadPoolTest, TasksSeeTheExecutingWorkerIndex) {
 
 class EngineDeterminismTest : public ::testing::TestWithParam<const Codec*> {};
 
-TEST_P(EngineDeterminismTest, BatchMatchesSerialOnEveryDistribution) {
+TEST_P(EngineDeterminismTest, ServiceMatchesSerialOnEveryDistribution) {
   const Codec& codec = *GetParam();
   for (const char* dist : {"uniform", "zipf", "markov"}) {
     SCOPED_TRACE(dist);
     const Workload w = MakeWorkload(dist, 10, 60);
     const EncodedWorkload e = Encode(codec, w);
 
-    // Serial reference, via the arena-free legacy entry point.
+    // Serial reference over the unsharded sets, via the arena-free entry
+    // point.
     std::vector<std::vector<uint32_t>> ref;
     ref.reserve(w.plans.size());
     for (const QueryPlan& p : w.plans) {
@@ -154,16 +220,9 @@ TEST_P(EngineDeterminismTest, BatchMatchesSerialOnEveryDistribution) {
     for (size_t threads : {size_t{1}, kStressThreads}) {
       SCOPED_TRACE(threads);
       ThreadPool pool(threads);
-      BatchExecutor exec(&pool);
-      const QueryBatch batch{.codec = &codec, .plans = w.plans, .sets = e.ptrs};
-      // Two rounds through the same executor: warm arenas must not change
-      // results.
-      for (int round = 0; round < 2; ++round) {
-        const auto got = exec.Execute(batch);
-        ASSERT_EQ(got.size(), ref.size());
-        for (size_t q = 0; q < ref.size(); ++q) {
-          ASSERT_EQ(got[q], ref[q]) << "query " << q << " round " << round;
-        }
+      const auto got = ServeAll(codec, w.lists, w.domain, w.plans, &pool);
+      for (size_t q = 0; q < ref.size(); ++q) {
+        ASSERT_EQ(got[q], ref[q]) << "query " << q;
       }
     }
   }
@@ -188,10 +247,12 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, EngineDeterminismTest,
 
 // ------------------------------------------------------------------ stress
 
-TEST(EngineStressTest, TenThousandTinyQueries) {
-  // 10k near-empty queries: task scheduling dominates the work, which is
-  // exactly where submission/steal/quiescence races would surface. Run
-  // under INTCOMP_SANITIZE=thread this is the engine's race detector.
+TEST(EngineStressTest, TenThousandTinyQueriesFromConcurrentCallers) {
+  // 10k near-empty queries issued by several caller threads at once through
+  // one service on one shared pool: scheduling dominates the work, which is
+  // exactly where submission/steal/latch races would surface. Run under
+  // INTCOMP_SANITIZE=thread this is the race detector for concurrent
+  // ParallelFor callers.
   const Codec* codec = FindCodec("Roaring");
   ASSERT_NE(codec, nullptr);
   const uint64_t domain = 1 << 16;
@@ -199,12 +260,6 @@ TEST(EngineStressTest, TenThousandTinyQueries) {
   std::vector<std::vector<uint32_t>> lists;
   for (size_t i = 0; i < 64; ++i) {
     lists.push_back(RandomSortedList(1 + rng.NextBounded(8), domain, 500 + i));
-  }
-  std::vector<std::unique_ptr<CompressedSet>> sets;
-  std::vector<const CompressedSet*> ptrs;
-  for (const auto& l : lists) {
-    sets.push_back(codec->Encode(l, domain));
-    ptrs.push_back(sets.back().get());
   }
   std::vector<QueryPlan> plans;
   plans.reserve(10000);
@@ -217,79 +272,31 @@ TEST(EngineStressTest, TenThousandTinyQueries) {
   }
 
   ThreadPool pool(kStressThreads);
-  BatchExecutor exec(&pool);
-  BatchReport report;
-  const auto got = exec.Execute({.codec = codec, .plans = plans, .sets = ptrs}, &report);
+  const ShardedIndex index = ShardedIndex::Build(*codec, lists, domain, kShards);
+  IndexServiceOptions options;
+  options.cache_enabled = false;
+  IndexService service(&index, &pool, options);
+  constexpr size_t kCallers = 4;
+  std::vector<std::vector<uint32_t>> got(plans.size());
+  std::vector<Status> statuses(plans.size());
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t q = c; q < plans.size(); q += kCallers) {
+        statuses[q] = service.Query(plans[q], &got[q]);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
 
-  ASSERT_EQ(got.size(), plans.size());
   for (size_t q = 0; q < plans.size(); ++q) {
+    ASSERT_TRUE(statuses[q].ok()) << "query " << q;
     const auto& a = lists[plans[q].children[0].leaf];
     const auto& b = lists[plans[q].children[1].leaf];
     const auto ref = q % 2 == 0 ? RefIntersect(a, b) : RefUnion(a, b);
     ASSERT_EQ(got[q], ref) << "query " << q;
   }
-  EXPECT_EQ(report.Totals().queries, plans.size());
-}
-
-// ------------------------------------------------------------ engine stats
-
-TEST(EngineStatsTest, CountersSumAcrossWorkers) {
-  const Codec* codec = FindCodec("WAH");
-  ASSERT_NE(codec, nullptr);
-  const Workload w = MakeWorkload("uniform", 8, 100);
-  const EncodedWorkload e = Encode(*codec, w);
-
-  ThreadPool pool(4);
-  BatchExecutor exec(&pool);
-  BatchReport report;
-  const auto results = exec.Execute({.codec = codec, .plans = w.plans, .sets = e.ptrs}, &report);
-
-  ASSERT_EQ(report.NumWorkers(), pool.NumWorkers());
-  const WorkerCounters totals = report.Totals();
-  EXPECT_EQ(totals.queries, w.plans.size());
-  size_t result_ints = 0;
-  for (const auto& r : results) result_ints += r.size();
-  EXPECT_EQ(totals.result_ints, result_ints);
-  uint64_t queries_by_worker = 0;
-  for (const auto& c : report.per_worker) queries_by_worker += c.queries;
-  EXPECT_EQ(queries_by_worker, totals.queries);
-  EXPECT_GT(totals.busy_ns, 0u);
-  const std::string table = report.ToString();
-  EXPECT_NE(table.find("total"), std::string::npos);
-}
-
-TEST(EngineStatsTest, ReusedPoolDoesNotDoubleCount) {
-  // Two consecutive batches through the same pool+executor: each report
-  // must hold only its own batch's numbers, and the steal/busy/idle deltas
-  // must not accumulate the first batch's totals.
-  const Codec* codec = FindCodec("SIMDBP128");
-  ASSERT_NE(codec, nullptr);
-  const Workload w = MakeWorkload("markov", 8, 80);
-  const EncodedWorkload e = Encode(*codec, w);
-
-  ThreadPool pool(4);
-  BatchExecutor exec(&pool);
-  const QueryBatch batch{.codec = codec, .plans = w.plans, .sets = e.ptrs};
-  BatchReport first, second;
-  const auto r1 = exec.Execute(batch, &first);
-  const auto r2 = exec.Execute(batch, &second);
-  ASSERT_EQ(r1, r2);
-
-  EXPECT_EQ(first.Totals().queries, w.plans.size());
-  EXPECT_EQ(second.Totals().queries, w.plans.size());
-  EXPECT_EQ(second.Totals().result_ints, first.Totals().result_ints);
-  // Busy time is per-batch: batch 2's total can't include batch 1's too.
-  // (Generous 4x bound — scheduling noise, but not 2-batches-in-one.)
-  EXPECT_LT(second.Totals().busy_ns,
-            4 * std::max<uint64_t>(first.Totals().busy_ns, 1));
-
-  // The scratch arenas persist across batches, so the buffer population is
-  // bounded by workers x plan depth — not by query count. (An exact
-  // across-batch equality would be flaky: stealing may hand a different
-  // worker the deepest plan on a later run and warm that one arena up.)
-  for (int round = 0; round < 10; ++round) exec.Execute(batch, nullptr);
-  EXPECT_LE(exec.ScratchBuffers(), pool.NumWorkers() * 8)
-      << "scratch buffers scale with queries, not workers: reuse is broken";
+  EXPECT_EQ(service.Stats().queries, plans.size());
 }
 
 // ------------------------------------------------------- fault containment
@@ -374,220 +381,6 @@ TEST(EvaluatePlanCheckedTest, ValidatesShapeAndMatchesTrustedPath) {
   EXPECT_EQ(out, oracle);
 }
 
-TEST(FaultContainmentTest, BadQueriesFailAloneAndHealthyResultsAreIdentical) {
-  // One batch holding: healthy queries, a query over a missing (null) set
-  // slot — the engine's representation of a set whose byte image failed
-  // DeserializeChecked — a query with an already-impossible deadline, and a
-  // plan referencing an out-of-range leaf. The batch must complete; each
-  // bad query reports its own Status; healthy results are bit-identical to
-  // serial EvaluatePlan at 1 and N threads.
-  const Codec& codec = *FindCodec("Roaring");
-  const uint64_t domain = 1 << 18;
-  std::vector<std::vector<uint32_t>> lists;
-  for (size_t i = 0; i < 6; ++i) {
-    lists.push_back(RandomSortedList(4000 + 700 * i, domain, 600 + i));
-  }
-  std::vector<std::unique_ptr<CompressedSet>> sets;
-  std::vector<const CompressedSet*> ptrs;
-  for (const auto& l : lists) {
-    sets.push_back(codec.Encode(l, domain));
-    ptrs.push_back(sets.back().get());
-  }
-  ptrs.push_back(nullptr);  // slot 6: the corrupt set
-
-  std::vector<QueryPlan> plans;
-  plans.push_back(QueryPlan::And({QueryPlan::Leaf(0), QueryPlan::Leaf(1)}));
-  plans.push_back(QueryPlan::And({QueryPlan::Leaf(2), QueryPlan::Leaf(6)}));
-  plans.push_back(QueryPlan::Or({QueryPlan::Leaf(2), QueryPlan::Leaf(3)}));
-  plans.push_back(QueryPlan::And(  // deadline victim (1 ns)
-      {QueryPlan::Or({QueryPlan::Leaf(0), QueryPlan::Leaf(1)}),
-       QueryPlan::Leaf(4)}));
-  plans.push_back(QueryPlan::Leaf(99));  // out of range
-  plans.push_back(QueryPlan::And(
-      {QueryPlan::Or({QueryPlan::Leaf(4), QueryPlan::Leaf(5)}),
-       QueryPlan::Leaf(0)}));
-  const std::vector<uint64_t> deadlines = {0, 0, 0, 1, 0, 0};
-  const std::vector<size_t> healthy = {0, 2, 5};
-
-  std::vector<std::vector<uint32_t>> ref(plans.size());
-  for (size_t q : healthy) ref[q] = EvaluatePlan(codec, plans[q], ptrs);
-
-  EngineStats stats;
-  std::vector<std::vector<std::vector<uint32_t>>> per_thread_results;
-  for (size_t threads : {size_t{1}, kStressThreads}) {
-    SCOPED_TRACE(threads);
-    ThreadPool pool(threads);
-    BatchExecutor exec(&pool);
-    const QueryBatch batch{.codec = &codec,
-                           .plans = plans,
-                           .sets = ptrs,
-                           .deadlines_ns = deadlines};
-    BatchReport report;
-    const auto results = exec.Execute(batch, &report);
-    ASSERT_EQ(results.size(), plans.size());
-    ASSERT_EQ(report.per_query.size(), plans.size());
-
-    for (size_t q : healthy) {
-      EXPECT_TRUE(report.per_query[q].ok()) << "query " << q;
-      EXPECT_EQ(results[q], ref[q]) << "query " << q;
-    }
-    EXPECT_EQ(report.per_query[1].code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(report.per_query[3].code(), StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(report.per_query[4].code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(results[1].empty());
-    EXPECT_TRUE(results[3].empty());
-    EXPECT_TRUE(results[4].empty());
-
-    const WorkerCounters totals = report.Totals();
-    EXPECT_EQ(totals.queries, plans.size());
-    EXPECT_EQ(totals.ok, healthy.size());
-    EXPECT_EQ(totals.rejected, 2u);
-    EXPECT_EQ(totals.timed_out, 1u);
-    EXPECT_EQ(totals.cancelled, 0u);
-    EXPECT_EQ(totals.failed, 0u);
-    EXPECT_NE(report.ToString().find("rejected"), std::string::npos);
-    stats.Accumulate(report);
-    per_thread_results.push_back(results);
-  }
-  // Bit-identical across thread counts, including the failed slots.
-  EXPECT_EQ(per_thread_results[0], per_thread_results[1]);
-  EXPECT_EQ(stats.Batches(), 2u);
-  EXPECT_EQ(stats.Ok(), 2 * healthy.size());
-  EXPECT_EQ(stats.Rejected(), 4u);
-  EXPECT_EQ(stats.TimedOut(), 2u);
-  EXPECT_EQ(stats.BatchWallNs().Count(), 2u);
-  EXPECT_NE(stats.ToString().find("2 batches"), std::string::npos);
-}
-
-TEST(FaultContainmentTest, BatchWideCancellationStopsEveryQuery) {
-  const Codec& codec = *FindCodec("WAH");
-  const Workload w = MakeWorkload("uniform", 8, 64);
-  const EncodedWorkload e = Encode(codec, w);
-  ThreadPool pool(4);
-  BatchExecutor exec(&pool);
-  CancellationToken cancel;
-  cancel.Cancel();  // tripped before submission, e.g. client disconnected
-  BatchReport report;
-  const auto results = exec.Execute({.codec = &codec,
-                                     .plans = w.plans,
-                                     .sets = e.ptrs,
-                                     .cancel = &cancel},
-                                    &report);
-  ASSERT_EQ(report.per_query.size(), w.plans.size());
-  for (size_t q = 0; q < w.plans.size(); ++q) {
-    EXPECT_EQ(report.per_query[q].code(), StatusCode::kCancelled);
-    EXPECT_TRUE(results[q].empty());
-  }
-  EXPECT_EQ(report.Totals().cancelled, w.plans.size());
-
-  // The same batch without the token runs to completion.
-  BatchReport clean;
-  exec.Execute({.codec = &codec, .plans = w.plans, .sets = e.ptrs}, &clean);
-  EXPECT_EQ(clean.Totals().ok, w.plans.size());
-}
-
-TEST(EngineStatsTest, AccumulateRacesSafelyWithReaders) {
-  // EngineStats promises lock-free Accumulate concurrent with ToString and
-  // every accessor. This binary is the INTCOMP_SANITIZE=thread CI job, so
-  // hammering the two sides here is the proof of that contract.
-  BatchReport report;
-  report.per_worker.assign(2, WorkerCounters{});
-  report.per_worker[0].queries = 3;
-  report.per_worker[0].result_ints = 10;
-  report.per_worker[0].ok = 2;
-  report.per_worker[0].rejected = 1;
-  report.per_worker[0].kernels.simd_merge = 5;
-  report.per_worker[1].queries = 1;
-  report.per_worker[1].ok = 1;
-  report.per_worker[1].kernels.block_probes = 2;
-  report.wall_ms = 0.25;
-
-  EngineStats stats;
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr int kRounds = 250;
-  std::atomic<uint64_t> sink{0};  // keep reader results observable
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) stats.Accumulate(report);
-    });
-  }
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        sink.fetch_add(stats.ToString().size() + stats.Ok() +
-                       stats.Kernels().simd_merge +
-                       stats.BatchWallNs().P99());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const uint64_t n = kWriters * kRounds;
-  EXPECT_EQ(stats.Batches(), n);
-  EXPECT_EQ(stats.Queries(), 4 * n);
-  EXPECT_EQ(stats.ResultInts(), 10 * n);
-  EXPECT_EQ(stats.Ok(), 3 * n);
-  EXPECT_EQ(stats.Rejected(), n);
-  EXPECT_EQ(stats.Kernels().simd_merge, 5 * n);
-  EXPECT_EQ(stats.Kernels().block_probes, 2 * n);
-  EXPECT_EQ(stats.BatchWallNs().Count(), n);
-  EXPECT_GT(sink.load(), 0u);
-}
-
-TEST(EngineStatsTest, QueryProfileCapturesWorkShape) {
-  // PforDelta is a blocked codec: the 3-leaf ANDs push their SvS tail
-  // through the skip cursor, so the profile must see block traffic, and the
-  // plain-leaf decodes feed bytes_decoded.
-  const Codec* codec = FindCodec("PforDelta");
-  ASSERT_NE(codec, nullptr);
-  const uint64_t domain = 1 << 20;
-  std::vector<std::vector<uint32_t>> lists;
-  for (size_t i = 0; i < 6; ++i) {
-    lists.push_back(RandomSortedList(5000 + 3000 * i, domain, 900 + i));
-  }
-  std::vector<std::unique_ptr<CompressedSet>> sets;
-  std::vector<const CompressedSet*> ptrs;
-  for (const auto& l : lists) {
-    sets.push_back(codec->Encode(l, domain));
-    ptrs.push_back(sets.back().get());
-  }
-  std::vector<QueryPlan> plans;
-  constexpr size_t kAnd3 = 12;
-  constexpr size_t kLeafQ = 4;
-  Prng rng(5);
-  for (size_t q = 0; q < kAnd3; ++q) {
-    plans.push_back(QueryPlan::And({QueryPlan::Leaf(rng.NextBounded(6)),
-                                    QueryPlan::Leaf(rng.NextBounded(6)),
-                                    QueryPlan::Leaf(rng.NextBounded(6))}));
-  }
-  for (size_t q = 0; q < kLeafQ; ++q) {
-    plans.push_back(QueryPlan::Leaf(q));
-  }
-
-  ThreadPool pool(4);
-  BatchExecutor exec(&pool);
-  BatchReport report;
-  exec.Execute({.codec = codec, .plans = plans, .sets = ptrs}, &report);
-
-  const QueryProfile p = report.Profile();
-  EXPECT_EQ(p.queries, plans.size());
-  EXPECT_EQ(p.ok, plans.size());
-  EXPECT_EQ(p.lists_touched, 3 * kAnd3 + kLeafQ);
-  EXPECT_GT(p.bytes_decoded, 0u);
-  EXPECT_GT(p.blocks_loaded, 0u);
-  EXPECT_GE(p.SkipHitRate(), 0.0);
-  EXPECT_LE(p.SkipHitRate(), 1.0);
-  EXPECT_NE(p.dominant_kernel, "none");
-  EXPECT_GT(p.wall_ms, 0.0);
-  const std::string line = p.ToString();
-  EXPECT_NE(line.find("queries"), std::string::npos);
-  EXPECT_NE(line.find("skip-hit"), std::string::npos);
-  // The empty profile keeps the rate well-defined.
-  EXPECT_EQ(QueryProfile{}.SkipHitRate(), 0.0);
-}
-
 TEST(ObservabilityTest, TracingAndMetricsDoNotPerturbResults) {
   // The determinism guarantee must survive observability: sampled tracing
   // plus the metrics registry enabled, at 1 and N threads, bit-identical to
@@ -612,32 +405,25 @@ TEST(ObservabilityTest, TracingAndMetricsDoNotPerturbResults) {
   for (size_t threads : {size_t{1}, kStressThreads}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
-    BatchExecutor exec(&pool);
-    const auto got =
-        exec.Execute({.codec = codec, .plans = w.plans, .sets = e.ptrs});
-    ASSERT_EQ(got.size(), ref.size());
+    const auto got = ServeAll(*codec, w.lists, w.domain, w.plans, &pool);
     for (size_t q = 0; q < ref.size(); ++q) {
       ASSERT_EQ(got[q], ref[q]) << "query " << q;
     }
   }
   // One more run with every root sampled: still bit-identical, and now the
-  // rings are guaranteed to hold spans (at 1/4 both batch roots may lose
-  // the sampling draw).
+  // rings are guaranteed to hold spans.
   obs::SetTraceSampling(1);
   {
     ThreadPool pool(kStressThreads);
-    BatchExecutor exec(&pool);
-    const auto got =
-        exec.Execute({.codec = codec, .plans = w.plans, .sets = e.ptrs});
-    ASSERT_EQ(got.size(), ref.size());
+    const auto got = ServeAll(*codec, w.lists, w.domain, w.plans, &pool);
     for (size_t q = 0; q < ref.size(); ++q) {
       ASSERT_EQ(got[q], ref[q]) << "query " << q;
     }
   }
-  // The instrumented runs actually recorded: per-codec query latencies in
-  // the registry and spans in the rings.
+  // The instrumented runs actually recorded: one service_query latency per
+  // query in the registry and spans in the rings.
   EXPECT_EQ(obs::MetricsRegistry::Global()
-                .OpLatency(codec->Name(), obs::OpKind::kQuery)
+                .OpLatency(codec->Name(), obs::OpKind::kServiceQuery)
                 ->Count(),
             3 * w.plans.size());
   obs::SetTraceSampling(0);  // quiesce before reading the rings
@@ -645,18 +431,6 @@ TEST(ObservabilityTest, TracingAndMetricsDoNotPerturbResults) {
   obs::ClearSpans();
   obs::MetricsRegistry::Global().SetEnabled(false);
   obs::MetricsRegistry::Global().Reset();
-}
-
-TEST(EngineStatsTest, BusyFractionIsBounded) {
-  BatchReport r;
-  r.per_worker.assign(2, WorkerCounters{});
-  EXPECT_EQ(r.BusyFraction(), 0.0);
-  r.per_worker[0].busy_ns = 300;
-  r.per_worker[1].idle_ns = 100;
-  EXPECT_DOUBLE_EQ(r.BusyFraction(), 0.75);
-  WorkerCounters sum = r.Totals();
-  EXPECT_EQ(sum.busy_ns, 300u);
-  EXPECT_EQ(sum.idle_ns, 100u);
 }
 
 }  // namespace

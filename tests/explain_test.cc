@@ -428,13 +428,10 @@ TEST(ExplainScopeTest, ThreadPoolWorkersAttachUnderTheSubmittersScope) {
     obs::ScopedExplainCapture capture(&sink);
     obs::ExplainScope root("root");
     ThreadPool pool(2);
-    for (uint64_t i = 0; i < 4; ++i) {
-      pool.Submit([i](size_t) {
-        obs::ExplainScope scope("worker", /*ordinal=*/i);
-        scope.AddUint("task", i);
-      });
-    }
-    pool.Wait();
+    pool.ParallelFor(0, 4, [](size_t i, size_t) {
+      obs::ExplainScope scope("worker", /*ordinal=*/i);
+      scope.AddUint("task", i);
+    });
   }
   const QueryExplain explain = sink.Build();
   ASSERT_TRUE(explain.ok);

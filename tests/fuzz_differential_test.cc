@@ -26,8 +26,8 @@
 #include "common/simd_intersect.h"
 #include "core/registry.h"
 #include "core/set_ops.h"
-#include "engine/batch_executor.h"
 #include "engine/thread_pool.h"
+#include "service/sharded_index.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
 
@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Rounds, FuzzDifferentialTest,
 // alternating bits (the RLE pessimum), singletons, the 2^32-1 universe
 // boundary, and pairs with empty intersections. Every pair is cross-checked
 // against a literal std::set oracle, through the serial drivers AND through
-// the batch engine.
+// the sharded index service.
 
 constexpr uint32_t kMaxU32 = 4294967295u;  // 2^32 - 1 universe boundary
 
@@ -275,10 +275,13 @@ TEST(AdversarialDifferentialTest, SerialPathMatchesSetOracle) {
 }
 
 TEST(AdversarialDifferentialTest, BatchPathMatchesSetOracle) {
-  // The same pairwise grid, driven through the batch engine: one AND and
-  // one OR plan per shape pair, all submitted as a single batch per codec.
+  // The same pairwise grid, served: one AND and one OR plan per shape pair,
+  // each a query through the index service over a 2-shard split of the
+  // 2^32 row space (shapes straddle the split), result cache off.
   const uint64_t domain = uint64_t{1} << 32;
   const auto shapes = AdversarialShapes();
+  std::vector<std::vector<uint32_t>> lists;
+  for (const auto& s : shapes) lists.push_back(s.values);
   std::vector<QueryPlan> plans;
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t i = 0; i < shapes.size(); ++i) {
@@ -290,24 +293,20 @@ TEST(AdversarialDifferentialTest, BatchPathMatchesSetOracle) {
   }
 
   ThreadPool pool(4);
-  BatchExecutor exec(&pool);
+  IndexServiceOptions options;
+  options.cache_enabled = false;
   for (const Codec* codec : AllPlusExtensions()) {
     SCOPED_TRACE(std::string(codec->Name()));
-    std::vector<std::unique_ptr<CompressedSet>> sets;
-    std::vector<const CompressedSet*> ptrs;
-    for (const auto& s : shapes) {
-      sets.push_back(codec->Encode(s.values, domain));
-      ptrs.push_back(sets.back().get());
-    }
-    const auto results = exec.Execute({.codec = codec, .plans = plans, .sets = ptrs});
-    ASSERT_EQ(results.size(), plans.size());
+    const ShardedIndex index = ShardedIndex::Build(*codec, lists, domain, 2);
+    IndexService service(&index, &pool, options);
+    std::vector<uint32_t> rows;
     for (size_t p = 0; p < pairs.size(); ++p) {
       const auto& [i, j] = pairs[p];
       SCOPED_TRACE(std::string(shapes[i].name) + " x " + shapes[j].name);
-      ASSERT_EQ(results[2 * p],
-                SetOracleIntersect(shapes[i].values, shapes[j].values));
-      ASSERT_EQ(results[2 * p + 1],
-                SetOracleUnion(shapes[i].values, shapes[j].values));
+      ASSERT_TRUE(service.Query(plans[2 * p], &rows).ok());
+      ASSERT_EQ(rows, SetOracleIntersect(shapes[i].values, shapes[j].values));
+      ASSERT_TRUE(service.Query(plans[2 * p + 1], &rows).ok());
+      ASSERT_EQ(rows, SetOracleUnion(shapes[i].values, shapes[j].values));
     }
   }
 }

@@ -277,6 +277,30 @@ TEST(NetServerTest, MalformedPayloadKeepsConnectionBadFramingCloses) {
   EXPECT_EQ(stack.server->GetStats().malformed, 2u);
 }
 
+TEST(NetServerTest, OversizedReplyGetsTypedErrorAndConnectionStays) {
+  // A payload cap far below list 4's result image (6000 rows): that reply
+  // cannot fit in a frame, so the server answers with a typed
+  // kInvalidArgument instead, and the connection keeps serving.
+  ServerOptions options;
+  options.max_payload_bytes = 256;
+  ServerStack stack(DefaultCodec(), options);
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+
+  std::vector<uint32_t> rows;
+  EXPECT_EQ(client.Query("4", 0, &rows).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_TRUE(client.Ping().ok());
+  // A small result still fits under the same cap.
+  ASSERT_TRUE(client.Query("&(3,5)", 0, &rows).ok());
+  EXPECT_EQ(rows, stack.Reference("&(3,5)"));
+
+  const QueryServer::Stats stats = stack.server->GetStats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  EXPECT_EQ(stats.malformed, 0u);
+}
+
 TEST(NetServerTest, ConnectionsBeyondCapAreRefused) {
   ServerOptions options;
   options.max_connections = 1;

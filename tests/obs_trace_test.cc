@@ -88,10 +88,7 @@ TEST_F(TraceTest, ThreadPoolTasksNestUnderTheSubmittersSpan) {
   {
     ThreadPool pool(4);
     TRACE_SPAN("batch_root");
-    for (size_t i = 0; i < kTasks; ++i) {
-      pool.Submit([](size_t) { TRACE_SPAN("worker_span"); });
-    }
-    pool.Wait();
+    pool.ParallelFor(0, kTasks, [](size_t, size_t) { TRACE_SPAN("worker_span"); });
   }
   obs::SetTraceSampling(0);
 
@@ -124,8 +121,7 @@ TEST_F(TraceTest, TasksSubmittedOutsideAnySpanAreRoots) {
     for (size_t i = 0; i < 8; ++i) {
       pool.Submit([](size_t) { TRACE_SPAN("orphan_span"); });
     }
-    pool.Wait();
-  }
+  }  // the destructor runs every queued task
   obs::SetTraceSampling(0);
   const auto workers = SpansNamed(obs::SnapshotSpans(), "orphan_span");
   ASSERT_EQ(workers.size(), 8u);

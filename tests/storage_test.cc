@@ -246,7 +246,15 @@ TEST(StorageSwapTest, SwapInvalidatesCachedResults) {
   // Shard-count mismatch is rejected (cache generations are per shard).
   const ShardedIndex narrow = ShardedIndex::Build(codec, Lists(), kRows, 2);
   EXPECT_FALSE(service.SwapSnapshot(&narrow).ok());
+  // So is a row-count mismatch: replies encode rows over a fixed domain.
+  const ShardedIndex taller =
+      ShardedIndex::Build(codec, Lists(), kRows + 64, shards);
+  EXPECT_EQ(service.SwapSnapshot(&taller).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(service.SwapSnapshot(nullptr).ok());
+  // The rejected swaps left the remapped snapshot in place.
+  ASSERT_TRUE(service.Query(plan, &rows).ok());
+  EXPECT_EQ(rows, other_lists[0]);
 }
 
 // --------------------------------------------- concurrent lazy first touch
